@@ -17,6 +17,14 @@ cargo test -q --workspace
 echo "==> frozen-equivalence (serving artifact vs live tape; JSON/bin/mmap bit-identity)"
 cargo test -q -p odnet-core --test frozen_equivalence
 
+echo "==> GEMM bit-exactness (every SIMD level == sequential-k oracle)"
+# Every kernel level the host can run (scalar, plus AVX2 when detected)
+# against a plain sequential-k reference over a shape sweep, then the
+# golden fixture: a committed tiny .odz must load owned and mmapped with
+# the same score bits and the same meta checksum on every build.
+cargo test -q -p od-tensor --test gemm_bitexact
+cargo test -q -p odnet-core --test golden_fixture
+
 echo "==> artifact corruption robustness (.odz loader rejects tampered files)"
 cargo test -q -p odnet-core --test artifact_corruption
 

@@ -8,7 +8,7 @@
 
 use od_tensor::infer::{self, Workspace};
 use od_tensor::nn::{Activation, FrozenLinear, FrozenMlp, Linear, Mlp};
-use od_tensor::{Graph, ParamStore, Value};
+use od_tensor::{Graph, ParamStore, Shape, Tensor, Value};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -180,20 +180,52 @@ impl MmoeHead {
 
     /// Snapshot the head's current weights into a [`FrozenMmoeHead`].
     pub fn freeze(&self, store: &ParamStore) -> FrozenMmoeHead {
-        FrozenMmoeHead {
+        FrozenMmoeHead::from_wire(FrozenMmoeWire {
             experts: self.experts.iter().map(|e| e.freeze(store)).collect(),
             gate_o: self.gate_o.freeze(store),
             gate_d: self.gate_d.freeze(store),
             tower_o: self.tower_o.freeze(store),
             tower_d: self.tower_d.freeze(store),
             expert_dim: self.expert_dim,
-        }
+        })
     }
 }
 
 /// Inference-time snapshot of an [`MmoeHead`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
+///
+/// The `E` experts and both gates all read q⊕, so freezing fuses their
+/// weights into one `in×stride` matrix with columns
+/// `[W_expert₁ | … | W_expert_E | W_gate_O | W_gate_D | 0-pad]`
+/// (`stride` = `E·d_r + 2E` rounded up to [`infer::GEMM_TILE`], so the GEMM
+/// runs only full register tiles); one GEMM replaces `E + 2`. The expert
+/// biases ride alongside (gates are bias-free, Eq. 7). Every output element
+/// is the same sequential-`k` sum it was as a separate layer, so the fused
+/// forward is bit-identical to the live tape.
+///
+/// On the wire (JSON artifact, `.odz` meta block) the head keeps its
+/// per-layer schema ([`FrozenMmoeWire`]), so files written before the
+/// fusion load unchanged and re-save to identical bytes.
+#[derive(Clone, Debug)]
 pub struct FrozenMmoeHead {
+    /// `in_dim×stride` row-major fused weight.
+    fused: Vec<f32>,
+    /// `[b_expert₁ | … | b_expert_E]`, length `E·d_r`.
+    expert_bias: Vec<f32>,
+    in_dim: usize,
+    experts: usize,
+    expert_dim: usize,
+    tower_o: FrozenMlp,
+    tower_d: FrozenMlp,
+    /// Why the wire layers could not be fused (mutually inconsistent
+    /// geometry in an untrusted file). Such a head is empty and
+    /// [`FrozenMmoeHead::check`] reports this, so the load fails typed.
+    unfusable: Option<String>,
+}
+
+/// The per-layer serialized form of a [`FrozenMmoeHead`] — the artifact
+/// schema since the first format version.
+#[derive(Serialize, Deserialize)]
+struct FrozenMmoeWire {
     experts: Vec<FrozenLinear>,
     gate_o: FrozenLinear,
     gate_d: FrozenLinear,
@@ -202,9 +234,97 @@ pub struct FrozenMmoeHead {
     expert_dim: usize,
 }
 
+impl Serialize for FrozenMmoeHead {
+    fn to_content(&self) -> serde::Content {
+        self.to_wire().to_content()
+    }
+}
+
+impl Deserialize for FrozenMmoeHead {
+    fn from_content(content: &serde::Content) -> Result<Self, serde::DeError> {
+        FrozenMmoeWire::from_content(content).map(FrozenMmoeHead::from_wire)
+    }
+}
+
 impl FrozenMmoeHead {
-    /// Validate expert/gate/tower shapes against the concatenated task
-    /// dimension and the configured expert pool.
+    /// Fused width: expert columns, both gates, padding to the GEMM tile.
+    fn stride(&self) -> usize {
+        (self.experts * (self.expert_dim + 2)).next_multiple_of(infer::GEMM_TILE)
+    }
+
+    /// Fuse the per-layer form. Geometry that cannot be fused (layers that
+    /// disagree on input width, an expert off the declared width, a gate
+    /// with a bias) yields an empty head carrying the reason.
+    fn from_wire(w: FrozenMmoeWire) -> Self {
+        let (num, dr, in_dim) = (w.experts.len(), w.expert_dim, w.gate_o.in_dim());
+        let mut head = FrozenMmoeHead {
+            fused: Vec::new(),
+            expert_bias: Vec::new(),
+            in_dim: 0,
+            experts: 0,
+            expert_dim: dr,
+            tower_o: w.tower_o,
+            tower_d: w.tower_d,
+            unfusable: None,
+        };
+        if let Err(why) = fusable(&w.experts, &w.gate_o, &w.gate_d, dr) {
+            head.unfusable = Some(why);
+            return head;
+        }
+        (head.in_dim, head.experts) = (in_dim, num);
+        let stride = head.stride();
+        let mut fused = vec![0.0f32; in_dim * stride];
+        let layers = w.experts.iter().chain([&w.gate_o, &w.gate_d]);
+        let mut col = 0;
+        for layer in layers {
+            let width = layer.out_dim();
+            for (p, src) in layer.weight().as_slice().chunks_exact(width).enumerate() {
+                fused[p * stride + col..p * stride + col + width].copy_from_slice(src);
+            }
+            col += width;
+        }
+        head.fused = fused;
+        head.expert_bias = w
+            .experts
+            .iter()
+            .flat_map(|e| e.bias().map_or(&[][..], |b| b.as_slice()))
+            .copied()
+            .collect();
+        head
+    }
+
+    /// Split the fused weight back into the per-layer wire form.
+    fn to_wire(&self) -> FrozenMmoeWire {
+        let (num, dr, in_dim, stride) = (self.experts, self.expert_dim, self.in_dim, self.stride());
+        let columns = |col: usize, width: usize| {
+            let data = (0..in_dim)
+                .flat_map(|p| &self.fused[p * stride + col..p * stride + col + width])
+                .copied()
+                .collect();
+            Tensor::new(Shape::Matrix(in_dim, width), data)
+        };
+        let experts = (0..num)
+            .map(|e| {
+                let bias = self.expert_bias[e * dr..(e + 1) * dr].to_vec();
+                FrozenLinear::from_parts(
+                    columns(e * dr, dr),
+                    Some(Tensor::new(Shape::Vector(dr), bias)),
+                )
+            })
+            .collect();
+        FrozenMmoeWire {
+            experts,
+            gate_o: FrozenLinear::from_parts(columns(num * dr, num), None),
+            gate_d: FrozenLinear::from_parts(columns(num * dr + num, num), None),
+            tower_o: self.tower_o.clone(),
+            tower_d: self.tower_d.clone(),
+            expert_dim: dr,
+        }
+    }
+
+    /// Validate the fused geometry against the concatenated task dimension
+    /// and the configured expert pool: fused width `E·d_r + 2E` padded to
+    /// the GEMM tile, bias length `E·d_r`, finite weights, and both towers.
     pub(crate) fn check(
         &self,
         what: &str,
@@ -213,10 +333,13 @@ impl FrozenMmoeHead {
         expert_dim: usize,
     ) -> Result<(), od_tensor::nn::FrozenCheckError> {
         use od_tensor::nn::FrozenCheckError;
-        if self.experts.len() != experts {
+        if let Some(why) = &self.unfusable {
+            return Err(FrozenCheckError::Shape(format!("{what}.{why}")));
+        }
+        if self.experts != experts {
             return Err(FrozenCheckError::Shape(format!(
                 "{what}: {} experts but the config declares {experts}",
-                self.experts.len()
+                self.experts
             )));
         }
         if self.expert_dim != expert_dim {
@@ -225,25 +348,37 @@ impl FrozenMmoeHead {
                 self.expert_dim
             )));
         }
-        for (e, expert) in self.experts.iter().enumerate() {
-            expert.check(&format!("{what}.expert{e}"))?;
-            if expert.in_dim() != q_cat_dim || expert.out_dim() != expert_dim {
-                return Err(FrozenCheckError::Shape(format!(
-                    "{what}.expert{e}: maps {}→{}, expected {q_cat_dim}→{expert_dim}",
-                    expert.in_dim(),
-                    expert.out_dim()
-                )));
-            }
+        if self.in_dim != q_cat_dim {
+            return Err(FrozenCheckError::Shape(format!(
+                "{what}: experts and gates read {} features, expected {q_cat_dim}",
+                self.in_dim
+            )));
         }
-        for (name, gate) in [("gate_o", &self.gate_o), ("gate_d", &self.gate_d)] {
-            gate.check(&format!("{what}.{name}"))?;
-            if gate.in_dim() != q_cat_dim || gate.out_dim() != experts {
-                return Err(FrozenCheckError::Shape(format!(
-                    "{what}.{name}: maps {}→{}, expected {q_cat_dim}→{experts}",
-                    gate.in_dim(),
-                    gate.out_dim()
-                )));
-            }
+        let stride = self.stride();
+        if self.fused.len() != q_cat_dim * stride {
+            return Err(FrozenCheckError::Shape(format!(
+                "{what}.fused: {} values, expected {q_cat_dim}x{stride} \
+                 ({experts}·{expert_dim} expert + {} gate columns, padded)",
+                self.fused.len(),
+                2 * experts
+            )));
+        }
+        if self.expert_bias.len() != experts * expert_dim {
+            return Err(FrozenCheckError::Shape(format!(
+                "{what}.expert_bias: {} values, expected {}",
+                self.expert_bias.len(),
+                experts * expert_dim
+            )));
+        }
+        if !self
+            .fused
+            .iter()
+            .chain(&self.expert_bias)
+            .all(|v| v.is_finite())
+        {
+            return Err(FrozenCheckError::NonFinite(format!(
+                "{what} expert/gate weights contain NaN or infinite values"
+            )));
         }
         self.tower_o
             .check(&format!("{what}.tower_o"), expert_dim, 1)?;
@@ -253,32 +388,34 @@ impl FrozenMmoeHead {
 
     /// Tape-free counterpart of [`MmoeHead::forward_batched`]: `q_cat` is
     /// `n×2d_q`; returns the `(logit_O, logit_D)` columns as length-`n`
-    /// workspace buffers. The gate mix accumulates experts in ascending
-    /// order with separate multiply-then-add per element — the same f32
-    /// accumulation order as the live path, so the logits are bit-identical.
+    /// workspace buffers. One GEMM yields every expert and gate column;
+    /// per row, the expert columns get bias then ReLU (Eq. 6) and each
+    /// gate's slice a softmax (Eq. 7), the same elementwise kernels as the
+    /// live path. The gate mix then accumulates experts in ascending order
+    /// with a separate multiply-then-add per element, reading each expert's
+    /// strided columns — the live path's order, so the logits are
+    /// bit-identical.
     pub fn forward_batched(
         &self,
         ws: &mut Workspace,
         q_cat: &[f32],
         n: usize,
     ) -> (Vec<f32>, Vec<f32>) {
-        let dr = self.expert_dim;
-        let num = self.experts.len();
-        let mut outs: Vec<Vec<f32>> = Vec::with_capacity(num);
-        for e in &self.experts {
-            let mut o = e.forward(ws, q_cat, n);
-            infer::relu_in_place(&mut o);
-            outs.push(o);
+        let (num, dr, stride) = (self.experts, self.expert_dim, self.stride());
+        let ew = num * dr;
+        let mut h = ws.take(n * stride);
+        infer::matmul_into(q_cat, n, self.in_dim, &self.fused, stride, &mut h);
+        for row in h.chunks_exact_mut(stride) {
+            infer::add_row_in_place(&mut row[..ew], ew, &self.expert_bias);
+            infer::relu_in_place(&mut row[..ew]);
+            infer::softmax_rows_in_place(&mut row[ew..ew + 2 * num], num);
         }
-        let mut mix = |gate: &FrozenLinear, tower: &FrozenMlp| -> Vec<f32> {
-            let mut weights = gate.forward(ws, q_cat, n); // n×experts
-            infer::softmax_rows_in_place(&mut weights, num);
+        let mut mix = |gate: usize, tower: &FrozenMlp| -> Vec<f32> {
             let mut r = ws.take(n * dr);
-            for (e, out_e) in outs.iter().enumerate() {
-                for i in 0..n {
-                    let w = weights[i * num + e];
-                    let row = &mut r[i * dr..(i + 1) * dr];
-                    for (acc, &x) in row.iter_mut().zip(&out_e[i * dr..(i + 1) * dr]) {
+            for (row, hrow) in r.chunks_exact_mut(dr).zip(h.chunks_exact(stride)) {
+                for e in 0..num {
+                    let w = hrow[gate + e];
+                    for (acc, &x) in row.iter_mut().zip(&hrow[e * dr..(e + 1) * dr]) {
                         if e == 0 {
                             *acc = w * x;
                         } else {
@@ -287,18 +424,60 @@ impl FrozenMmoeHead {
                     }
                 }
             }
-            ws.give(weights);
             let logits = tower.forward(ws, &r, n); // n×1
             ws.give(r);
             logits
         };
-        let logit_o = mix(&self.gate_o, &self.tower_o);
-        let logit_d = mix(&self.gate_d, &self.tower_d);
-        for o in outs {
-            ws.give(o);
-        }
+        let logit_o = mix(ew, &self.tower_o);
+        let logit_d = mix(ew + num, &self.tower_d);
+        ws.give(h);
         (logit_o, logit_d)
     }
+}
+
+/// Can these layers fuse into one matrix? Every expert and gate must read
+/// the same width, experts must emit `expert_dim` with a bias, and gates
+/// must emit one logit per expert without one. Buffer/shape agreement of
+/// each layer is checked first so the fusion copy cannot go out of bounds.
+fn fusable(
+    experts: &[FrozenLinear],
+    gate_o: &FrozenLinear,
+    gate_d: &FrozenLinear,
+    expert_dim: usize,
+) -> Result<(), String> {
+    use od_tensor::nn::FrozenCheckError;
+    let num = experts.len();
+    if num == 0 || expert_dim == 0 {
+        return Err(format!("experts: {num} of width {expert_dim}"));
+    }
+    let in_dim = gate_o.in_dim();
+    let named = experts
+        .iter()
+        .enumerate()
+        .map(|(e, l)| (format!("expert{e}"), l, expert_dim, true))
+        .chain([
+            ("gate_o".to_string(), gate_o, num, false),
+            ("gate_d".to_string(), gate_d, num, false),
+        ]);
+    for (name, layer, width, biased) in named {
+        if let Err(FrozenCheckError::Shape(why)) = layer.check(&name) {
+            return Err(why);
+        }
+        if layer.in_dim() != in_dim || layer.out_dim() != width {
+            return Err(format!(
+                "{name}: maps {}→{}, expected {in_dim}→{width}",
+                layer.in_dim(),
+                layer.out_dim()
+            ));
+        }
+        if layer.bias().is_some() != biased {
+            return Err(format!(
+                "{name}: {} a bias",
+                if biased { "lacks" } else { "carries" }
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Single-task head for the STL variants: two independent towers, one over

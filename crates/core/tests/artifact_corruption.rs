@@ -236,3 +236,104 @@ fn empty_and_garbage_files_are_rejected() {
         assert!(matches!(r, Err(CheckpointError::Binary(_))));
     }
 }
+
+/// Replace the meta block with `meta` and re-seal the meta and header
+/// checksums, so only the loader's semantic checks can object.
+fn with_meta(pristine: &[u8], meta: &serde::Content) -> Vec<u8> {
+    let meta_offset = u64::from_le_bytes(pristine[40..48].try_into().unwrap()) as usize;
+    let json = serde_json::to_string(meta).expect("meta serializes");
+    let mut bytes = pristine[..meta_offset].to_vec();
+    bytes.extend_from_slice(json.as_bytes());
+    bytes[48..56].copy_from_slice(&(json.len() as u64).to_le_bytes());
+    bytes[56..60].copy_from_slice(&fnv1a(json.as_bytes()).to_le_bytes());
+    reseal_header(&mut bytes);
+    bytes
+}
+
+fn field<'a>(c: &'a mut serde::Content, key: &str) -> &'a mut serde::Content {
+    match c {
+        serde::Content::Map(entries) => {
+            &mut entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("meta has no {key:?}"))
+                .1
+        }
+        _ => panic!("{key:?}: not a map"),
+    }
+}
+
+/// The pristine meta block, parsed, plus the MMoE head's `(q⊕, d_r)`.
+fn pristine_meta() -> (serde::Content, usize, usize) {
+    let pristine = tiny_artifact_bytes();
+    let meta_offset = u64::from_le_bytes(pristine[40..48].try_into().unwrap()) as usize;
+    let meta: serde::Content =
+        serde_json::from_str(std::str::from_utf8(&pristine[meta_offset..]).unwrap()).unwrap();
+    let cfg = OdnetConfig::tiny();
+    (meta, 2 * cfg.q_dim(), cfg.expert_dim)
+}
+
+/// A self-consistent expert layer `in_dim → width`, as wire content.
+fn expert_layer(in_dim: usize, width: usize) -> serde::Content {
+    use od_tensor::{nn::FrozenLinear, Shape, Tensor};
+    use serde::Serialize as _;
+    FrozenLinear::from_parts(
+        Tensor::zeros(Shape::Matrix(in_dim, width)),
+        Some(Tensor::zeros(Shape::Vector(width))),
+    )
+    .to_content()
+}
+
+#[test]
+fn wrong_width_expert_is_inconsistent_on_both_paths() {
+    // One expert one column narrower than its siblings and the declared
+    // d_r: the fused head cannot be built, and the load must say so with
+    // a typed error rather than panic inside the fusion copy.
+    let (mut meta, q_cat, dr) = pristine_meta();
+    let joint = field(field(&mut meta, "head"), "Joint");
+    match field(joint, "experts") {
+        serde::Content::Seq(experts) => experts[1] = expert_layer(q_cat, dr - 1),
+        _ => panic!("experts: not a list"),
+    }
+    for r in load_both(
+        "narrow_expert.odz",
+        &with_meta(tiny_artifact_bytes(), &meta),
+    ) {
+        match r {
+            Err(CheckpointError::Inconsistent(what)) => {
+                assert!(what.contains("expert1"), "{what}")
+            }
+            other => panic!("expected Inconsistent(expert1), got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn uniformly_narrower_experts_disagree_with_the_config() {
+    // Every expert (and the wire's expert_dim) narrower, down to zero
+    // columns: whether or not the head fuses, its width disagrees with
+    // config.expert_dim.
+    let (pristine, q_cat, dr) = pristine_meta();
+    for width in [dr - 1, 0] {
+        let mut meta = pristine.clone();
+        let joint = field(field(&mut meta, "head"), "Joint");
+        match field(joint, "experts") {
+            serde::Content::Seq(experts) => {
+                for e in experts.iter_mut() {
+                    *e = expert_layer(q_cat, width);
+                }
+            }
+            _ => panic!("experts: not a list"),
+        }
+        *field(joint, "expert_dim") = serde::Content::U64(width as u64);
+        let bytes = with_meta(tiny_artifact_bytes(), &meta);
+        for r in load_both("narrow_experts.odz", &bytes) {
+            match r {
+                Err(CheckpointError::Inconsistent(what)) => {
+                    assert!(what.contains("width"), "{what}")
+                }
+                other => panic!("width {width}: expected Inconsistent, got {other:?}"),
+            }
+        }
+    }
+}

@@ -807,6 +807,7 @@ fn serve_error_response(
     match e {
         ServeError::DeadlineExceeded => error_response(504, &traced("deadline exceeded")),
         ServeError::WorkerPanicked => error_response(500, &traced("worker panicked")),
+        ServeError::NonFiniteScore { .. } => error_response(500, &traced("non-finite score")),
         ServeError::InvalidInput(err) => error_response(400, &format!("invalid group: {err:?}")),
         ServeError::Rejected => {
             if inner.draining.load(Ordering::SeqCst) {

@@ -251,6 +251,8 @@ pub struct EngineStats {
     pub expired: u64,
     /// Requests resolved with [`ServeError::WorkerPanicked`].
     pub panicked_requests: u64,
+    /// Requests resolved with [`ServeError::NonFiniteScore`].
+    pub nonfinite_scores: u64,
     /// Requests scored and answered successfully.
     pub completed: u64,
     /// Frozen forwards executed (a coalesced forward counts once).
@@ -279,7 +281,7 @@ impl EngineStats {
 ///
 /// The accounting invariant the chaos tests assert: every accepted
 /// request resolves exactly once, so `submitted == completed + expired +
-/// panicked_requests + drain_rejected + in_flight` (with
+/// panicked_requests + nonfinite_scores + drain_rejected + in_flight` (with
 /// `in_flight == 0` once all tickets have resolved), and
 /// `worker_panics == respawns` once the supervisor has caught up.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -566,6 +568,7 @@ impl Engine {
             invalid: m.invalid.get(),
             expired: m.expired.get(),
             panicked_requests: m.panicked_requests.get(),
+            nonfinite_scores: m.nonfinite_scores.get(),
             completed: m.completed.get(),
             forwards: m.forwards.get(),
             coalesced_requests: m.coalesced_requests.get(),
@@ -635,6 +638,7 @@ impl Engine {
                 == m.completed.get()
                     + m.expired.get()
                     + m.panicked_requests.get()
+                    + m.nonfinite_scores.get()
                     + m.drain_rejected.get()
         };
         // Phase 1: let workers drain the backlog within the grace window.
@@ -949,17 +953,10 @@ fn score_set(
                 fwd_attrs,
             );
         }
-        // Count before sending: the oneshot's lock handoff then publishes
-        // the increment to whoever observes the response.
-        metrics.completed.inc();
-        slot.requests.inc();
         slot.scores.add(out.len() as u64);
         let submitted = req.submitted;
         let trace_id = req.ctx.trace_id;
-        req.take_tx().send(Ok(ScoredResponse {
-            scores: out.clone(),
-            version: slot.version,
-        }));
+        answer(metrics, slot, seq, req, out);
         if let Some(t1) = fwd_end {
             let done = od_obs::clock::now();
             if shared.stage_timing {
@@ -1024,12 +1021,7 @@ fn score_set(
     for &i in set {
         let req = &mut batch[i];
         let n = req.group.candidates.len();
-        metrics.completed.inc();
-        slot.requests.inc();
-        req.take_tx().send(Ok(ScoredResponse {
-            scores: out[offset..offset + n].to_vec(),
-            version: slot.version,
-        }));
+        answer(metrics, slot, seq, req, &out[offset..offset + n]);
         offset += n;
     }
     // One clock read covers the whole scatter; every member of the set
@@ -1050,6 +1042,46 @@ fn score_set(
             }
         }
     }
+}
+
+/// Scatter one request's score slice through its oneshot — unless a score
+/// is NaN or infinite, which resolves the request
+/// [`ServeError::NonFiniteScore`] instead (counted, and marked as an error
+/// span on a traced request): a non-finite score never reaches a caller.
+/// Counters move before the send, so the oneshot's lock handoff publishes
+/// them to whoever observes the response.
+fn answer(
+    metrics: &EngineMetrics,
+    slot: &VersionSlot,
+    seq: u64,
+    req: &mut Request,
+    scores: &[(f32, f32)],
+) {
+    let bad = scores
+        .iter()
+        .position(|(o, d)| !(o.is_finite() && d.is_finite()));
+    let Some(candidate) = bad else {
+        metrics.completed.inc();
+        slot.requests.inc();
+        req.take_tx().send(Ok(ScoredResponse {
+            scores: scores.to_vec(),
+            version: slot.version,
+        }));
+        return;
+    };
+    metrics.nonfinite_scores.inc();
+    let now = od_obs::clock::now();
+    trace::global().record_full(
+        req.ctx,
+        "nonfinite_score",
+        now,
+        now,
+        0,
+        true,
+        [("batch", seq), ("epoch", slot.version.epoch)],
+    );
+    req.take_tx()
+        .send(Err(ServeError::NonFiniteScore { candidate }));
 }
 
 impl Request {

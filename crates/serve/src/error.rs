@@ -28,6 +28,15 @@ pub enum ServeError {
     /// at drain time), or [`Ticket::wait_timeout`](crate::Ticket::wait_timeout)
     /// gave up waiting.
     DeadlineExceeded,
+    /// The model produced a NaN or infinite `(p_O, p_D)` for this
+    /// request (candidate index of the first offender) — a corrupted
+    /// artifact row the shallow mmap validation does not scan. The scores
+    /// are withheld instead of serialized; the failure is deterministic,
+    /// so retrying against the same generation fails again.
+    NonFiniteScore {
+        /// Index of the first non-finite candidate in the request.
+        candidate: usize,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -37,6 +46,9 @@ impl fmt::Display for ServeError {
             ServeError::InvalidInput(e) => write!(f, "invalid request: {e}"),
             ServeError::WorkerPanicked => write!(f, "scoring worker panicked mid-batch"),
             ServeError::DeadlineExceeded => write!(f, "request deadline exceeded"),
+            ServeError::NonFiniteScore { candidate } => {
+                write!(f, "non-finite score for candidate {candidate}")
+            }
         }
     }
 }
@@ -124,5 +136,8 @@ mod tests {
         assert!(ServeError::DeadlineExceeded
             .to_string()
             .contains("deadline"));
+        assert!(ServeError::NonFiniteScore { candidate: 3 }
+            .to_string()
+            .contains("candidate 3"));
     }
 }

@@ -20,6 +20,7 @@
 //! | `od_engine_panicked_requests_total` | counter | resolved `WorkerPanicked` |
 //! | `od_engine_drain_rejected_total` | counter | force-resolved `Rejected` at drain timeout |
 //! | `od_engine_completed_total` | counter | scored and answered |
+//! | `od_engine_nonfinite_scores_total` | counter | resolved `NonFiniteScore` (scores withheld) |
 //! | `od_engine_forwards_total` | counter | frozen forwards executed |
 //! | `od_engine_coalesced_requests_total` | counter | requests that shared a forward |
 //! | `od_engine_worker_panics_total` | counter | worker deaths by panic |
@@ -58,6 +59,7 @@ pub(crate) struct EngineMetrics {
     pub panicked_requests: Counter,
     pub drain_rejected: Counter,
     pub completed: Counter,
+    pub nonfinite_scores: Counter,
     pub forwards: Counter,
     pub coalesced_requests: Counter,
     pub worker_panics: Counter,
@@ -112,6 +114,10 @@ impl EngineMetrics {
             completed: reg.counter(
                 "od_engine_completed_total",
                 "Requests scored and answered successfully",
+            ),
+            nonfinite_scores: reg.counter(
+                "od_engine_nonfinite_scores_total",
+                "Requests resolved NonFiniteScore: the model produced NaN/inf scores",
             ),
             forwards: reg.counter(
                 "od_engine_forwards_total",

@@ -8,14 +8,19 @@
 //!
 //! Numerical contract: each kernel mirrors the corresponding tape op
 //! *exactly* — same kernel, same accumulation order, same rounding.
-//! [`matmul_into`] runs the identical `gemm_nn_stripe` micro-kernel as
-//! [`crate::linalg::matmul`] (sequentially; the parallel path is
-//! bit-identical to sequential by construction), [`mean_rows_into`] mirrors
+//! [`matmul_into`] runs the same GEMM kernel as [`crate::linalg::matmul`]
+//! (one stripe over all rows; the tape's row-parallel path is bit-identical
+//! to it by construction). That kernel adds each output element's `k`
+//! products in sequential order with a separate multiply and add (no FMA)
+//! at every SIMD level — register tiles for full 16-wide column blocks, a
+//! packed 8-row path for the narrow remainder — and overwrites its output,
+//! so callers need not zero it. [`mean_rows_into`] mirrors
 //! `sum_rows`-then-divide, and the elementwise ops apply the same scalar
 //! functions. Frozen forwards built on these kernels are therefore
 //! bit-identical to the live tape forward, not merely close.
 
 use crate::linalg;
+use crate::simd::SimdLevel;
 
 /// Pool of reusable scratch buffers for tape-free forwards.
 ///
@@ -59,19 +64,40 @@ impl Workspace {
     }
 }
 
+/// Column tile width of the forward GEMM. A weight whose column count is a
+/// multiple of it runs only full register tiles (no narrow remainder), so
+/// frozen layers that fuse several weights pad the fused width to it.
+pub const GEMM_TILE: usize = linalg::NR;
+
 /// `out = a · b` where `a` is `m×k`, `b` is `k×n`, and `out` has room for
-/// `m·n` values. Runs the same tiled micro-kernel as
-/// [`crate::linalg::matmul`], so results are bit-identical to the tape path.
+/// `m·n` values (its previous contents are overwritten). Runs the same
+/// tiled kernel as [`crate::linalg::matmul`], so results are bit-identical
+/// to the tape path.
 ///
 /// # Panics
 /// Panics when a buffer is shorter than its stated shape requires.
 pub fn matmul_into(a: &[f32], m: usize, k: usize, b: &[f32], n: usize, out: &mut [f32]) {
+    matmul_into_at(SimdLevel::detect(), a, m, k, b, n, out);
+}
+
+/// [`matmul_into`] pinned to one kernel level (an unsupported level runs
+/// the portable build) — the hook the bit-exactness tests use to check
+/// every level the host can run against the sequential-`k` oracle. Not a
+/// tuning knob: every level computes identical bits.
+#[doc(hidden)]
+pub fn matmul_into_at(
+    level: SimdLevel,
+    a: &[f32],
+    m: usize,
+    k: usize,
+    b: &[f32],
+    n: usize,
+    out: &mut [f32],
+) {
     assert!(a.len() >= m * k, "matmul_into: lhs buffer too short");
     assert!(b.len() >= k * n, "matmul_into: rhs buffer too short");
     assert!(out.len() >= m * n, "matmul_into: output buffer too short");
-    // Edge tiles of the stripe kernel accumulate; start from zero.
-    out[..m * n].fill(0.0);
-    linalg::gemm_nn_stripe(0, m, k, n, a, b, out);
+    linalg::gemm_nn_stripe(level, 0, m, k, n, a, b, out);
 }
 
 /// `out = aᵀ` where `a` is `r×c` row-major; `out` receives `c×r`.

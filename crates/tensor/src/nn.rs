@@ -370,6 +370,28 @@ impl Linear {
 }
 
 impl FrozenLinear {
+    /// A frozen layer from an `in_dim×out_dim` weight and an optional
+    /// length-`out_dim` bias (geometry is taken from `w`; [`Self::check`]
+    /// validates the pair).
+    pub fn from_parts(w: Tensor, b: Option<Tensor>) -> Self {
+        FrozenLinear {
+            in_dim: w.rows(),
+            out_dim: w.cols(),
+            w,
+            b,
+        }
+    }
+
+    /// The `in_dim×out_dim` weight matrix.
+    pub fn weight(&self) -> &Tensor {
+        &self.w
+    }
+
+    /// The bias row, when the layer has one.
+    pub fn bias(&self) -> Option<&Tensor> {
+        self.b.as_ref()
+    }
+
     /// Output feature dimension.
     pub fn out_dim(&self) -> usize {
         self.out_dim

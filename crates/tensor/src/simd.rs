@@ -1,4 +1,5 @@
-//! Runtime-dispatched SIMD kernels for the retrieval tier.
+//! Runtime-dispatched SIMD kernels for the retrieval tier. ([`SimdLevel`]
+//! also selects the build of the forward GEMM kernel; see `linalg`.)
 //!
 //! The retrieval stage (crate `od-retrieval`) reduces "best k OD pairs out
 //! of ~40k" to three dense primitives over the frozen artifact's embedding
@@ -103,7 +104,7 @@ impl SimdLevel {
     /// The level actually dispatched for a request: `self` when the host
     /// supports it, scalar otherwise. This is what makes the public
     /// kernels safe — an unsupported level degrades, it never faults.
-    fn effective(self) -> SimdLevel {
+    pub(crate) fn effective(self) -> SimdLevel {
         if self.supported() {
             self
         } else {
